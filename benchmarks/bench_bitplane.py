@@ -11,6 +11,11 @@ schedule, which is amortized across every campaign that reuses the
 cached schedule), checks record equality, and publishes
 ``benchmarks/results/BENCH_bitplane.json``.
 
+Beside the cycles floor sits a wall-clock gate: bit-plane campaign
+trials/s must reach 1.5x the fast path's.  A cycles proxy alone cannot
+see host-side costs such as per-cycle state digests, so both backends
+run ``_ROUNDS`` times, interleaved, and each side keeps its fastest run.
+
 The trial count is pinned, not ``scaled()``: the speedup is a property
 of the seed campaign's lane-fate mix (how many lanes converge in-plane,
 peel, rejoin with lag), and shrinking or growing the sample changes the
@@ -29,6 +34,8 @@ from benchmarks.conftest import publish, write_bench_json
 _SEED = 2008
 _TRIALS = 120
 _PARAMS = CoreParams(scale=0.15, icache_lines=32, dcache_lines=32)
+_ROUNDS = 3
+_WALL_FLOOR = 1.5
 
 
 def _campaign(backend: str):
@@ -42,7 +49,18 @@ def _campaign(backend: str):
     result = experiment.run_campaign(sites, seed=_SEED)
     wall = time.perf_counter() - start
     campaign_cycles = experiment.emulator.stats.cycles_run - prepared
-    return experiment, result, campaign_cycles, wall
+    return result, campaign_cycles, wall
+
+
+def _interleaved_min() -> dict:
+    """Fastest of ``_ROUNDS`` interleaved runs per backend."""
+    best: dict = {}
+    for _ in range(_ROUNDS):
+        for backend in ("scalar", "bitplane"):
+            run = _campaign(backend)
+            if backend not in best or run[2] < best[backend][2]:
+                best[backend] = run
+    return best
 
 
 def _side(campaign_cycles: int, wall: float) -> dict:
@@ -55,16 +73,14 @@ def _side(campaign_cycles: int, wall: float) -> dict:
 
 
 def test_bitplane_speedup(benchmark):
-    def run():
-        return _campaign("scalar"), _campaign("bitplane")
-
-    ((fast_exp, fast_result, fast_cycles, fast_wall),
-     (bp_exp, bp_result, bp_cycles, bp_wall)) = benchmark.pedantic(
-        run, rounds=1, iterations=1)
+    best = benchmark.pedantic(_interleaved_min, rounds=1, iterations=1)
+    fast_result, fast_cycles, fast_wall = best["scalar"]
+    bp_result, bp_cycles, bp_wall = best["bitplane"]
 
     fast = _side(fast_cycles, fast_wall)
     bitplane = _side(bp_cycles, bp_wall)
     cycles_speedup = fast_cycles / bp_cycles
+    wall_speedup = fast_wall / bp_wall
     detail = {
         "workload": "AVP suite (Table-1 mix)",
         "trials": _TRIALS,
@@ -72,12 +88,15 @@ def test_bitplane_speedup(benchmark):
         "fastpath": fast,
         "bitplane": bitplane,
         "speedup_cycles": round(cycles_speedup, 2),
-        "speedup_wall": round(fast_wall / bp_wall, 2),
+        "speedup_wall": round(wall_speedup, 2),
+        "wall_floor": _WALL_FLOOR,
+        "wall_timing": f"min of {_ROUNDS}, interleaved",
         "records_bit_identical": fast_result.records == bp_result.records,
     }
     write_bench_json(
         "bitplane", "speedup_cycles", detail["speedup_cycles"], 5.0,
-        cycles_speedup >= 5.0 and detail["records_bit_identical"],
+        cycles_speedup >= 5.0 and wall_speedup >= _WALL_FLOOR
+        and detail["records_bit_identical"],
         detail=detail)
 
     lines = [
@@ -90,14 +109,19 @@ def test_bitplane_speedup(benchmark):
         f"   ({bitplane['trials_per_second']:.1f} trials/s)",
         f"  campaign-cycles speedup:   {cycles_speedup:10.2f} x"
         "   (acceptance floor: 5x over the PR-4 fast path)",
-        f"  wall-clock speedup:        {detail['speedup_wall']:10.2f} x",
+        f"  wall-clock speedup:        {wall_speedup:10.2f} x"
+        f"   (floor: {_WALL_FLOOR}x; min of {_ROUNDS}, interleaved)",
         f"  records bit-identical:     {detail['records_bit_identical']}",
     ]
     publish("bitplane", "\n".join(lines))
 
-    # The claim, stated three ways: same answers, strictly fewer
-    # campaign cycles, and at least the acceptance-floor reduction.
+    # The claim, stated four ways: same answers, strictly fewer
+    # campaign cycles, at least the acceptance-floor reduction, and a
+    # host wall-clock gain that survives per-cycle host costs.
     assert fast_result.records == bp_result.records
     assert bp_cycles < fast_cycles
     assert cycles_speedup >= 5.0, \
         f"bit-plane only {cycles_speedup:.2f}x below the 5x floor"
+    assert wall_speedup >= _WALL_FLOOR, \
+        f"bit-plane trials/s only {wall_speedup:.2f}x the fast path's, " \
+        f"below the {_WALL_FLOOR}x wall-clock floor"

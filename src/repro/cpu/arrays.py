@@ -57,6 +57,10 @@ class SramArray:
         self.data = [0] * len(self.data)
         self.par = [0] * len(self.par)
 
+    def content_hash(self) -> int:
+        """Hash of every data word and parity bit (no snapshot copy)."""
+        return hash((tuple(self.data), tuple(self.par)))
+
     def snapshot(self) -> tuple[list[int], list[int]]:
         return list(self.data), list(self.par)
 
@@ -110,6 +114,10 @@ class EccArray:
             self.check[index] ^= 1 << (bit - 32)
         else:
             self.data[index] ^= 1 << bit
+
+    def content_hash(self) -> int:
+        """Hash of every data word and check field (no snapshot copy)."""
+        return hash((tuple(self.data), tuple(self.check)))
 
     def snapshot(self) -> tuple[list[int], list[int]]:
         return list(self.data), list(self.check)

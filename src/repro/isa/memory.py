@@ -8,6 +8,8 @@ experiment simulator models array upsets separately (see ``repro.beam``).
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from repro.isa.encoding import WORD_MASK
 
 
@@ -68,6 +70,11 @@ class Memory:
     def nonzero_words(self) -> dict[int, int]:
         """Mapping of word-index -> value for all nonzero words."""
         return {idx: w for idx, w in self._words.items() if w}
+
+    def content_hash(self) -> int:
+        """Hash of the nonzero words, order-free: a stored zero word
+        hashes like an absent one, and insertion order never matters."""
+        return hash(frozenset(filter(itemgetter(1), self._words.items())))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Memory):

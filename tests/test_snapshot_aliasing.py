@@ -139,6 +139,71 @@ def test_digest_ignores_event_log(running_core):
 
 
 # ----------------------------------------------------------------------
+# Digest plans: the kept-latch list is resolved once per exclusion set
+# and cached on the core; memory and arrays hash in place.
+
+def test_empty_exclusion_is_the_full_digest(running_core):
+    core = running_core
+    assert core.state_digest(exclude=frozenset()) == core.state_digest()
+    assert core.state_digest(exclude=frozenset(), include_cycle=False) \
+        == core.state_digest(include_cycle=False)
+    assert core.latch_key(frozenset()) == core.latch_key()
+
+
+def test_cached_plan_sees_later_writes_to_kept_latches(running_core):
+    core = running_core
+    mask = frozenset({core.all_latches().index(core.rut.cmt_res)})
+    before = core.state_digest(exclude=mask, include_cycle=False)
+    key = core.latch_key(mask)
+    assert core.kept_latches(mask) is core.kept_latches(mask)
+    core.pervasive.fir_rec.value ^= 1
+    assert core.state_digest(exclude=mask, include_cycle=False) != before
+    assert core.latch_key(mask) != key
+    core.pervasive.fir_rec.value ^= 1
+    assert core.state_digest(exclude=mask, include_cycle=False) == before
+    assert core.latch_key(mask) == key
+
+
+def test_equal_masks_from_distinct_objects_digest_alike(running_core):
+    core = running_core
+    latches = core.all_latches()
+    indices = [latches.index(core.rut.cmt_res),
+               latches.index(core.pervasive.fir_rec)]
+    first = frozenset(indices)
+    second = frozenset(reversed(indices))
+    assert first is not second
+    digest = core.state_digest(exclude=first, include_cycle=False)
+    core.rut.cmt_res.value ^= 1
+    assert core.state_digest(exclude=second, include_cycle=False) == digest
+    assert core.latch_key(second) == core.latch_key(first)
+    assert core.state_digest(exclude=first) != core.state_digest()
+
+
+def test_stored_zero_word_digests_like_an_absent_word(running_core):
+    core = running_core
+    addr = 4 * (max(core.memory.snapshot()) + 16)
+    before = core.state_digest()
+    words = len(core.memory)
+    core.memory.store_word(addr, 0)
+    assert len(core.memory) == words + 1
+    assert core.state_digest() == before
+    core.memory.store_word(addr, 1)
+    assert core.state_digest() != before
+
+
+@pytest.mark.parametrize("field", ["icache-sram-parity", "dcache-sram",
+                                   "ckpt-ecc-check", "memory"])
+def test_masked_lagfree_digest_sees_memory_and_arrays(running_core, field):
+    """Memory and arrays hash beside the kept-latch plan: one SRAM
+    parity bit or one ECC check bit must move the drain's digest."""
+    core = running_core
+    mask = frozenset(range(0, len(core.all_latches()), 2))
+    before = core.state_digest(exclude=mask, include_cycle=False)
+    MUTATIONS[field](core)
+    assert core.state_digest(exclude=mask, include_cycle=False) != before
+
+
+# ----------------------------------------------------------------------
 # Snapshot round-trip and aliasing.
 
 @pytest.mark.parametrize("field", sorted(MUTATIONS))
@@ -270,6 +335,65 @@ def test_wave_reconstruction_does_not_alias_golden_state():
         assert golden.final == final
         assert tuple(golden.events) == tail
     assert [s.model_digest for s in experiment.schedules] == digests
+
+
+@pytest.fixture(scope="module")
+def bitplane_experiment():
+    from tests.difftools import BASE_CONFIG
+
+    from repro.sfi import CampaignConfig, SfiExperiment
+
+    return SfiExperiment(CampaignConfig(**BASE_CONFIG, backend="bitplane"))
+
+
+def test_every_golden_cycle_passes_the_lag_prefilter(bitplane_experiment):
+    """The drain's two-level lookup: at every golden cycle the cheap
+    latch key is in the trail's key set and the full lookup finds the
+    first golden cycle with that state, never a later one — also when
+    the cycle counter is shifted, as in a recovery-delayed trial."""
+    experiment = bitplane_experiment
+    core = experiment.core
+    emulator = experiment.emulator
+    for index, golden in enumerate(experiment.goldens):
+        trail = experiment._bp_trails[index]
+        emulator.reload(experiment._ckpt_name(index))
+        checked = 0
+        while core.cycles < golden.end_cycle:
+            assert core.latch_key(trail.mask) in trail.keys, core.cycles
+            rejoin = trail.rejoin(core)
+            assert rejoin is not None and rejoin <= core.cycles, core.cycles
+            core.cycles += 7
+            assert trail.rejoin(core) == rejoin, core.cycles
+            core.cycles -= 7
+            checked += 1
+            emulator.clock(1)
+        assert checked == golden.end_cycle
+        assert len(trail.keys) <= len(trail.first) <= checked
+
+
+@pytest.mark.parametrize("where", ["memory", "dcache", "ckpt"])
+def test_memory_or_array_divergence_passes_key_misses_digest(
+        bitplane_experiment, where):
+    """A state equal to golden in every latch but not in memory or an
+    array passes the key check, then the digest rejects it: the
+    prefilter only ever skips digests that would have missed."""
+    experiment = bitplane_experiment
+    core = experiment.core
+    trail = experiment._bp_trails[0]
+    experiment.emulator.reload(experiment._ckpt_name(0))
+    experiment.emulator.clock(experiment.goldens[0].end_cycle // 2)
+    assert trail.rejoin(core) is not None
+    if where == "memory":
+        addr = 4 * max(core.memory.snapshot())
+        core.memory.store_word(addr, core.memory.load_word(addr) ^ 0x5A5A5A5A)
+    elif where == "dcache":
+        core.lsu.dcache.array.data[3] ^= 0x80000000
+    else:
+        core.rut.ckpt.check[2] ^= 0x40
+    assert core.latch_key(trail.mask) in trail.keys
+    assert core.state_digest(exclude=trail.mask, include_cycle=False) \
+        not in trail.first
+    assert trail.rejoin(core) is None
 
 
 def test_compiled_schedule_cache_shares_frozen_schedules():

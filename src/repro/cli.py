@@ -1106,6 +1106,13 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-sfi",
@@ -1132,13 +1139,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "bit-identical either way")
     p.add_argument("--backend", choices=("scalar", "bitplane"),
                    default="scalar",
-                   help="trial execution backend: 'bitplane' packs up to "
-                        "63 trials per machine word and resolves them "
-                        "against the compiled golden schedule; records "
-                        "are byte-identical to the scalar backend")
-    p.add_argument("--wave-lanes", type=int, default=None, metavar="N",
-                   help="bitplane backend: trials per wave (1-63, "
-                        "default 63)")
+                   help="trial execution backend: 'bitplane' classifies "
+                        "each trial by the golden schedule's first access "
+                        "to its flipped bit and simulates only trials "
+                        "whose flip is read; records are byte-identical "
+                        "to the scalar backend")
+    p.add_argument("--wave-lanes", type=_positive_int, default=None,
+                   metavar="N",
+                   help="bitplane backend: trials per wave (>= 1; "
+                        "default: one wave per testcase)")
     p.add_argument("--workers", type=int, default=1,
                    help="parallel simulation copies (paper §2.2)")
     p.add_argument("--journal", metavar="PATH",

@@ -81,11 +81,6 @@ DEFAULT_POLICY: tuple[PathPolicy, ...] = (
     PathPolicy("emulator/bitplane.py", ALL_GROUPS,
                "bit-plane backend: full determinism contract (waves must "
                "be bit-identical to the scalar path)"),
-    PathPolicy("emulator/bitplane-gen",
-               frozenset({RuleGroup.DETERMINISM}),
-               "generated plane kernels (virtual path, linted at "
-               "generation time as REPRO-D05): determinism applies, "
-               "naming does not — names are machine-chosen"),
     PathPolicy("obs",
                frozenset({RuleGroup.WORKER_SAFETY, RuleGroup.NAMING}),
                "telemetry layer: wall-clock reads are its purpose"),

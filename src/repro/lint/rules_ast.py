@@ -19,14 +19,6 @@ leak it closes:
 * ``REPRO-D04`` unordered ``set`` iteration — string hashing is
   randomized per process (PYTHONHASHSEED), so iterating a set into
   sampled or serialized output reorders between runs unless sorted.
-* ``REPRO-D05`` generated-code determinism — source produced by a code
-  generator (the bit-plane backend's plane kernels) must itself pass
-  the determinism rules before being ``exec``'d: unseeded randomness
-  or a wall-clock read in generated code would break bit-identical
-  waves exactly like hand-written code, with no file on disk for the
-  tree lint to catch.  Checked at generation time via
-  :func:`lint_generated`, which re-tags any determinism finding as
-  REPRO-D05 (the original rule stays in the message).
 * ``REPRO-W01`` worker payload — lambdas, closures and bound methods
   handed to a process pool fail to pickle under the ``spawn`` start
   method; payloads must be module-level functions.
@@ -609,23 +601,3 @@ def lint_source(source: str, relpath: str,
             continue
         kept.append(finding)
     return kept
-
-
-def lint_generated(source: str, origin: str) -> list[Finding]:
-    """REPRO-D05: determinism-lint *generated* source before exec.
-
-    Runs the determinism rule family over code a generator produced
-    (``origin`` is a virtual path naming the generator, e.g.
-    ``emulator/bitplane-gen``) and re-tags every finding as REPRO-D05,
-    keeping the underlying rule in the message.  Naming/worker/schema
-    rules are deliberately not applied: generated kernels are
-    straight-line arithmetic with machine-chosen names and never touch
-    pools or schemas.  Callers refuse to ``exec`` on any finding.
-    """
-    findings = lint_source(source, origin,
-                           groups=frozenset({RuleGroup.DETERMINISM}))
-    return [Finding(rule="REPRO-D05", severity=Severity.ERROR,
-                    category="determinism", path=origin, line=finding.line,
-                    message=f"generated code violates {finding.rule}: "
-                            f"{finding.message}")
-            for finding in findings]

@@ -28,7 +28,6 @@ from repro.emulator.awan import AwanEmulator
 from repro.emulator.bitplane import (
     BITPLANE_DIGEST_STRIDE,
     BITPLANE_RUNG_STRIDE,
-    MAX_WAVE_TRIALS,
     compile_netlist,
     record_schedule,
 )
@@ -157,22 +156,19 @@ class CampaignConfig:
     # bit-identical (the provenance differential suite asserts this).
     # Fast-path campaigns with provenance off are untouched.
     provenance: bool = False
-    # --- Bit-plane backend (64 trials per machine word) ---------------
+    # --- Bit-plane backend (golden-schedule lookup per trial) ---------
     # ``backend="bitplane"`` batches same-testcase plan items into waves
-    # of up to ``wave_lanes`` trials, classifies every lane against the
-    # compiled golden schedule with word-wide plane code, and only peels
-    # lanes whose divergence the golden run actually consumes out to the
-    # scalar path.  Records are byte-identical to the scalar path (the
+    # and classifies every lane by the kind of the golden run's first
+    # access to its bit after the injection: a write converges, no
+    # access survives, and only a read peels the lane out to the scalar
+    # path.  Records are byte-identical to the scalar path (the
     # bit-plane differential suite asserts it).  Requires the fast-path
     # machinery; incompatible with ``provenance`` (the taint tracker
     # must observe every post-injection cycle of every trial).
     backend: str = "scalar"
-    # Trials per wave (clamped to the 63 non-golden lanes of a plane
-    # word; plane bit 0 is the golden lane).
-    wave_lanes: int = MAX_WAVE_TRIALS
-    # Optional bound on the injection-cycle span batched into one wave
-    # (None: any same-testcase items share a wave).
-    wave_window: int | None = None
+    # Trials per wave (None: one wave per testcase).  Lanes are
+    # independent lookups, so the chunking never changes a record.
+    wave_lanes: int | None = None
 
 
 @dataclass(frozen=True)
@@ -254,7 +250,7 @@ _DETECTION_LATENCY_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
 _PEAK_BITS_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
                       512.0, 1024.0, float("inf"))
 
-# Trial lanes per resolved bit-plane wave (63 = a full plane word).
+# Trial lanes per resolved bit-plane wave.
 _WAVE_OCCUPANCY_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 63.0,
                            float("inf"))
 
@@ -381,6 +377,9 @@ class SfiExperiment:
             raise ValueError(
                 "bitplane backend is incompatible with provenance "
                 "(the taint tracker must observe every trial cycle)")
+        if self.config.wave_lanes is not None and self.config.wave_lanes < 1:
+            raise ValueError(
+                f"wave_lanes must be >= 1, got {self.config.wave_lanes}")
         # Per-testcase compiled schedules plus the dense golden trails
         # (latch keys, lag map, masked digests) peeled lanes drain against.
         self.schedules: list = []
@@ -702,7 +701,7 @@ class SfiExperiment:
         return None
 
     # ------------------------------------------------------------------
-    # Bit-plane backend (waves of up to 63 trials per plane word).
+    # Bit-plane backend (waves of trials classified by schedule lookup).
 
     def _bitplane_prepare(self, index: int) -> None:
         """Compile the recorded schedule and lay down the bit-plane
@@ -774,40 +773,32 @@ class SfiExperiment:
         """Batch scheduled plan items into waves and execute them.
 
         Items group by testcase (one compiled schedule per wave), sort
-        by (inject cycle, position) and chunk into ``wave_lanes``-sized
-        waves (optionally bounded to a ``wave_window`` cycle span).
-        Every item is self-contained, so batching cannot change any
-        record; results are keyed by plan position exactly like the
-        scalar loop's.
+        by (inject cycle, position) and run as one wave per testcase,
+        or in ``wave_lanes``-sized chunks when that is set.  Every item
+        is self-contained and every lane an independent schedule
+        lookup, so batching cannot change any record; results are keyed
+        by plan position exactly like the scalar loop's.
         """
-        config = self.config
         by_testcase: dict[int, list] = {}
         for item, inject_cycle in scheduled:
             by_testcase.setdefault(item.testcase_index, []).append(
                 (item, inject_cycle))
-        lanes_cap = max(1, min(config.wave_lanes, MAX_WAVE_TRIALS))
-        window = config.wave_window
         for tc_index in sorted(by_testcase):
             lanes = sorted(by_testcase[tc_index],
                            key=lambda pair: (pair[1], pair[0].position))
-            wave: list = []
-            for pair in lanes:
-                if wave and (len(wave) >= lanes_cap
-                             or (window is not None
-                                 and pair[1] - wave[0][1] > window)):
-                    self._run_wave(tc_index, wave, records, record_hook)
-                    wave = []
-                wave.append(pair)
-            if wave:
-                self._run_wave(tc_index, wave, records, record_hook)
+            size = self.config.wave_lanes or len(lanes)
+            for start in range(0, len(lanes), size):
+                self._run_wave(tc_index, lanes[start:start + size],
+                               records, record_hook)
 
     def _run_wave(self, tc_index: int, wave, records, record_hook) -> None:
-        """Resolve one wave in-plane and execute its lanes.
+        """Resolve one wave against the compiled schedule and execute
+        its lanes.
 
         In-plane fates (converge/survive) reconstruct their records
         host-side at zero simulation cost; peeled lanes fall to the
         scalar path (:meth:`_run_peeled`, or plain :meth:`run_one` when
-        the wave could not be resolved in-plane at all — non-TOGGLE
+        the wave could not be resolved by lookup at all — non-TOGGLE
         modes and goldens with truncated event logs).
         """
         config = self.config

@@ -21,6 +21,14 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli.main([])
 
+    @pytest.mark.parametrize("lanes", ["0", "-3"])
+    def test_wave_lanes_below_one_rejected(self, capsys, lanes):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["campaign", "--backend", "bitplane", "--wave-lanes",
+                      lanes, *BASE])
+        assert excinfo.value.code == 2
+        assert "--wave-lanes: must be >= 1" in capsys.readouterr().err
+
     def test_info_text(self, capsys):
         code, out = run_cli(capsys, "info", *BASE)
         assert code == 0

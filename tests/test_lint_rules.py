@@ -392,58 +392,9 @@ def test_policy_rows_have_reasons(row):
     assert row.reason, f"policy row {row.prefix!r} must explain itself"
 
 
-class TestGeneratedCodeRule:
-    """REPRO-D05: determinism-lint generated plane kernels pre-exec."""
-
-    def test_clean_generated_kernel_passes(self):
-        from repro.lint.rules_ast import lint_generated
-        src = ("def kernel(planes, lanes):\n"
-               "    a = planes[0] ^ planes[1]\n"
-               "    return a & ((1 << lanes) - 1)\n")
-        assert lint_generated(src, "emulator/bitplane-gen") == []
-
-    def test_unseeded_randomness_retagged_as_d05(self):
-        from repro.lint.rules_ast import lint_generated
-        src = "import random\nx = random.random()\n"
-        findings = lint_generated(src, "emulator/bitplane-gen")
-        assert [f.rule for f in findings] == ["REPRO-D05"]
-        assert "REPRO-D01" in findings[0].message
-        assert findings[0].path == "emulator/bitplane-gen"
-        assert findings[0].severity is Severity.ERROR
-
-    def test_wall_clock_retagged_as_d05(self):
-        from repro.lint.rules_ast import lint_generated
-        findings = lint_generated("import time\nt = time.time()\n",
-                                  "emulator/bitplane-gen")
-        assert [f.rule for f in findings] == ["REPRO-D05"]
-        assert "REPRO-D02" in findings[0].message
-
-    def test_naming_rules_not_applied_to_generated_code(self):
-        # Machine-chosen names: a metric-looking call in generated code
-        # is not subject to the naming convention.
-        from repro.lint.rules_ast import lint_generated
-        src = "def f(r):\n    r.histogram('BadName')\n"
-        assert lint_generated(src, "emulator/bitplane-gen") == []
-
-    def test_backend_refuses_to_exec_dirty_source(self):
-        from repro.emulator.bitplane import (BitplaneCompileError,
-                                             lint_generated_plane_code)
-        with pytest.raises(BitplaneCompileError) as excinfo:
-            lint_generated_plane_code("import random\nx = random.random()\n")
-        assert "REPRO-D05" in str(excinfo.value)
-
-    def test_backend_accepts_clean_source(self):
-        from repro.emulator.bitplane import lint_generated_plane_code
-        lint_generated_plane_code("x = 1 ^ 2\n")
-
-
 class TestBitplanePolicy:
     def test_bitplane_backend_gets_full_contract(self):
         assert groups_for("emulator/bitplane.py") == frozenset(RuleGroup)
-
-    def test_generated_kernels_get_determinism_only(self):
-        assert groups_for("emulator/bitplane-gen") == frozenset(
-            {RuleGroup.DETERMINISM})
 
     def test_lanes_is_a_histogram_unit(self):
         # Wave occupancy is measured in plane lanes.

@@ -327,14 +327,24 @@ def test_wave_reconstruction_does_not_alias_golden_state():
     experiment, result = run_campaign({}, 4, 40, backend="bitplane")
     finals = [copy.deepcopy(golden.final) for golden in experiment.goldens]
     tails = [tuple(golden.events) for golden in experiment.goldens]
-    digests = [schedule.model_digest for schedule in experiment.schedules]
+    tables = [copy.deepcopy(_schedule_tables(schedule))
+              for schedule in experiment.schedules]
     sites = [record.site_index for record in result.records]
     again = experiment.run_campaign(sites, 4)
     assert again.records == result.records
     for golden, final, tail in zip(experiment.goldens, finals, tails):
         assert golden.final == final
         assert tuple(golden.events) == tail
-    assert [s.model_digest for s in experiment.schedules] == digests
+    assert [_schedule_tables(s) for s in experiment.schedules] == tables
+
+
+def _schedule_tables(schedule) -> dict:
+    """Every table a compiled schedule answers lookups from."""
+    return {name: getattr(schedule, name) for name in (
+        "marks", "initial", "mask_indices",
+        "vr", "vw_seq", "vw_cyc", "vw_val",
+        "pr", "pw_seq", "pw_cyc", "pw_val",
+        "br", "bw_seq", "bw_cyc", "bw_val")}
 
 
 @pytest.fixture(scope="module")
@@ -394,6 +404,77 @@ def test_memory_or_array_divergence_passes_key_misses_digest(
     assert core.state_digest(exclude=trail.mask, include_cycle=False) \
         not in trail.first
     assert trail.rejoin(core) is None
+
+
+def _random_lanes(experiment, count: int, seed: int) -> list:
+    """``count`` wave descriptors over random sites and inject cycles of
+    testcase 0."""
+    import random
+
+    from tests.difftools import sample_sites
+
+    rng = random.Random(seed)
+    cycles = experiment.references[0].cycles
+    lanes = []
+    for site_index in sample_sites(experiment, count, seed):
+        site = experiment.latch_map.site(site_index)
+        lanes.append((experiment._latch_index[id(site.latch)], site.bit,
+                      site.is_parity_bit, rng.randrange(cycles)))
+    return lanes
+
+
+def test_wave_lanes_resolve_independently(bitplane_experiment):
+    """A lane's fate is its own schedule lookup: a wave equals the
+    concatenation of its single-lane waves, in any lane order, and has
+    no width limit (150 lanes here)."""
+    import random
+
+    schedule = bitplane_experiment.schedules[0]
+    lanes = _random_lanes(bitplane_experiment, 150, seed=13)
+    fates = schedule.resolve_wave(lanes)
+    assert fates == [schedule.resolve_wave([lane])[0] for lane in lanes]
+    assert {fate for fate, _ in fates} == {"peel", "converge", "survive"}
+    order = list(range(len(lanes)))
+    random.Random(5).shuffle(order)
+    assert schedule.resolve_wave([lanes[i] for i in order]) \
+        == [fates[i] for i in order]
+
+
+def test_default_bitplane_campaign_runs_one_wave_per_testcase():
+    """Without ``wave_lanes`` every testcase's items form one wave, and
+    the records equal single-lane waves and the slow path."""
+    from tests.difftools import BASE_CONFIG, run_campaign, sample_sites
+
+    from repro.obs import MetricsRegistry
+    from repro.sfi import CampaignConfig, SfiExperiment
+    from repro.sfi.campaign import plan_injections
+
+    registry = MetricsRegistry()
+    experiment = SfiExperiment(
+        CampaignConfig(**BASE_CONFIG, backend="bitplane"), metrics=registry)
+    sites = sample_sites(experiment, 90, 6)
+    result = experiment.run_campaign(sites, 6)
+    testcases = {item.testcase_index
+                 for item in plan_injections(sites, len(experiment.suite))}
+    assert registry.get("sfi_waves_total").value() == len(testcases)
+
+    runs = [run_campaign({}, 6, 0, sites=sites, **kwargs)[1].records
+            for kwargs in (dict(backend="bitplane", wave_lanes=1),
+                           dict(fastpath=False))]
+    assert runs == [result.records, result.records]
+
+
+@pytest.mark.parametrize("lanes", [0, -1])
+def test_wave_lanes_below_one_rejected(lanes):
+    """A non-positive chunk size would silently drop a testcase's
+    trials; the experiment refuses it up front."""
+    from tests.difftools import BASE_CONFIG
+
+    from repro.sfi import CampaignConfig, SfiExperiment
+
+    with pytest.raises(ValueError, match="wave_lanes"):
+        SfiExperiment(CampaignConfig(**BASE_CONFIG, backend="bitplane",
+                                     wave_lanes=lanes))
 
 
 def test_compiled_schedule_cache_shares_frozen_schedules():

@@ -325,6 +325,13 @@ class Power6Core:
         shifted in time — which the bit-plane drain exploits to rejoin
         recovered lanes onto the golden tail.
 
+        Every hashed field is an int or a bool, whose hashes are fixed
+        across processes (the dropped cycle counter hashes as the
+        sentinel ``-1``, not ``None``: before Python 3.12 ``hash(None)``
+        is derived from the object's address), so digests taken in one
+        process match states in another — a prepared model can be
+        shipped to pool workers.
+
         Cost is linear in the kept latches plus the memory and array
         sizes, not in a serialisation: at default core parameters (1033
         latches, two 512-word caches) a full digest costs ~90 µs and a
@@ -336,7 +343,7 @@ class Power6Core:
         """
         kept = self.kept_latches(exclude)
         return hash((
-            self.cycles if include_cycle else None,
+            self.cycles if include_cycle else -1,
             self.halted, self.commits_prev, self.committed,
             tuple([latch.value for latch in kept]),
             tuple([latch.par for latch in kept]),

@@ -99,6 +99,19 @@ class AwanEmulator:
     def has_checkpoint(self, name: str = "default") -> bool:
         return name in self._checkpoints
 
+    def saved_state(self) -> tuple[dict, tuple]:
+        """Every saved checkpoint and ladder rung (the latter as
+        ``(key, snapshot)`` pairs in LRU order), for
+        :meth:`load_saved_state` on another engine of the same model."""
+        return dict(self._checkpoints), tuple(self._ladder.items())
+
+    def load_saved_state(self, checkpoints: dict, ladder) -> None:
+        """Replace the saved checkpoints and ladder with ``checkpoints``
+        and the ``(key, snapshot)`` pairs of ``ladder`` (oldest first).
+        Snapshots are shared, not copied: restores only read them."""
+        self._checkpoints = dict(checkpoints)
+        self._ladder = OrderedDict(ladder)
+
     # ------------------------------------------------------------------
     # Checkpoint ladder (fast-path replay cache).
 

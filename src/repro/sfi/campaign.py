@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import time
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -28,6 +29,7 @@ from repro.emulator.awan import AwanEmulator
 from repro.emulator.bitplane import (
     BITPLANE_DIGEST_STRIDE,
     BITPLANE_RUNG_STRIDE,
+    CompiledSchedule,
     compile_netlist,
     record_schedule,
 )
@@ -186,11 +188,13 @@ class GoldenTrace:
 
     ``final`` is the complete quiesced machine state (the early-exit
     paths reconstruct the trial's final state from it instead of
-    simulating to it), and ``last_touch`` maps ``id(latch)`` to the last
-    cycle the fault-free run read or wrote that latch (see
-    :mod:`repro.cpu.touchtrace`) — the licence for the masked early
-    exit: a flip confined to a latch the golden run never touches again
-    is frozen, so the trial's future is the golden future.
+    simulating to it), and ``last_touch`` maps a latch's position in
+    :meth:`Power6Core.all_latches` order to the last cycle the fault-free
+    run read or wrote it (see :mod:`repro.cpu.touchtrace`) — the licence
+    for the masked early exit: a flip confined to a latch the golden run
+    never touches again is frozen, so the trial's future is the golden
+    future.  Positions, unlike the tracer's ``id(latch)`` keys, mean the
+    same latch in every process.
     """
 
     digests: dict[int, int]
@@ -232,6 +236,47 @@ class LagTrail:
             return None
         return self.first.get(
             core.state_digest(exclude=self.mask, include_cycle=False))
+
+
+@dataclass(frozen=True)
+class PreparedModel:
+    """Everything an experiment derives from its fault-free reference
+    runs, in a picklable, process-independent form.
+
+    ``checkpoints`` maps each testcase's checkpoint name to its cycle-0
+    snapshot and ``ladder`` lists the checkpoint-ladder rungs as
+    ``((name, cycle), snapshot)`` pairs in LRU order.  ``references``,
+    ``goldens`` and (bit-plane only) ``schedules`` and ``trails`` are
+    per-testcase.  Nothing here holds an ``id()`` or an address-derived
+    hash, so a model prepared in one process installs in another
+    (:meth:`SfiExperiment._install`) and classifies every trial exactly
+    as a locally prepared one.  Immutable by convention: experiments
+    sharing a model only ever restore from its snapshots.
+    """
+
+    references: tuple[ReferenceRun, ...]
+    checkpoints: dict[str, CoreSnapshot]
+    ladder: tuple[tuple[tuple[str, int], CoreSnapshot], ...]
+    goldens: tuple[GoldenTrace, ...]
+    schedules: tuple[CompiledSchedule, ...]
+    trails: tuple[LagTrail, ...]
+
+
+# One-slot registry of the last live experiment prepared on the stock
+# engine, so a supervisor can ship the model its caller already prepared
+# (the CLI's probe) instead of every worker re-running the references.
+# Weakly referenced, so it never keeps an experiment alive; per-process,
+# like the schedule compile cache.
+_LAST_PREPARED: weakref.ref | None = None
+
+
+def prepared_model(config: CampaignConfig) -> PreparedModel | None:
+    """The prepared model of the last live experiment if it was built
+    from an equal ``config`` on the stock :class:`AwanEmulator`."""
+    experiment = _LAST_PREPARED() if _LAST_PREPARED is not None else None
+    if experiment is None or experiment.config != config:
+        return None
+    return experiment.model
 
 
 # Injection latency is milliseconds-scale on the software backend.
@@ -339,10 +384,15 @@ class SfiExperiment:
     latency histograms, campaign/prepare timings and sampled core
     profiling (cycles/sec, checker fires, recovery cycles by unit).
     Uninstrumented experiments pay no metric calls on the hot path.
+
+    Pass ``model`` (another experiment's :attr:`model`, built from an
+    equal config, possibly in another process) to install its prepared
+    state instead of re-running the reference executions.
     """
 
     def __init__(self, config: CampaignConfig | None = None,
-                 emulator_cls=AwanEmulator, metrics=None) -> None:
+                 emulator_cls=AwanEmulator, metrics=None,
+                 model: PreparedModel | None = None) -> None:
         self.config = config or CampaignConfig()
         self.core = Power6Core(self.config.core_params)
         # Campaign cores bound their event log as a ring: hang outcomes
@@ -380,16 +430,17 @@ class SfiExperiment:
         if self.config.wave_lanes is not None and self.config.wave_lanes < 1:
             raise ValueError(
                 f"wave_lanes must be >= 1, got {self.config.wave_lanes}")
-        # Per-testcase compiled schedules plus the dense golden trails
-        # (latch keys, lag map, masked digests) peeled lanes drain against.
-        self.schedules: list = []
-        self._bp_trails: list[LagTrail] = []
-        self._schedule_trace = None
-        self._latches = self.core.all_latches()
-        self.suite: list[AvpTestcase] = make_suite(
-            self.config.suite_size, self.config.suite_seed, self.config.weights)
+        # Prepared state, set by _install: the suite, its references and
+        # goldens, and the per-testcase compiled schedules plus the dense
+        # golden trails (latch keys, lag map, masked digests) peeled
+        # lanes drain against.
+        self.model: PreparedModel | None = None
+        self.suite: list[AvpTestcase] = []
         self.references: list[ReferenceRun] = []
         self.goldens: list[GoldenTrace] = []
+        self.schedules: list = []
+        self._bp_trails: list[LagTrail] = []
+        self._latches = self.core.all_latches()
         self.metrics = None
         self._instruments = None
         self._profiler = None
@@ -405,7 +456,7 @@ class SfiExperiment:
         self.provenance_hook = None
         self.provenance_report: ProvenanceReport | None = None
         prepare_start = time.perf_counter()
-        self._prepare()
+        self._install(model if model is not None else self._prepare())
         self.prepare_seconds = time.perf_counter() - prepare_start
         if metrics is not None:
             self.instrument(metrics)
@@ -433,31 +484,64 @@ class SfiExperiment:
                 raise ValueError(f"unknown pervasive mode latch {name!r}")
             latch.write(value)
 
-    def _prepare(self) -> None:
+    def _prepare(self) -> PreparedModel:
         """Checkpoint each testcase at cycle 0, establish its fault-free
         reference execution, and (on the fast path) build its checkpoint
-        ladder and golden digest trail along the way."""
-        for index, testcase in enumerate(self.suite):
+        ladder and golden digest trail along the way, using this
+        experiment's engine as the workbench."""
+        config = self.config
+        suite = make_suite(config.suite_size, config.suite_seed,
+                           config.weights)
+        references, goldens, schedules, trails = [], [], [], []
+        for index, testcase in enumerate(suite):
             self.core.load_program(testcase.program)
             self._apply_mode_overrides()
             self.emulator.checkpoint(self._ckpt_name(index))
-            reference = self._reference_run(testcase, index)
-            self.references.append(reference)
+            budget = self._reference_budget(testcase)
+            if self.fastpath:
+                golden, trace = self._instrumented_reference(index, budget)
+                goldens.append(golden)
+            else:
+                self.host.run_until_quiesce(budget)
+            references.append(self._checked_reference(testcase))
             if self.bitplane:
-                self._bitplane_prepare(index)
+                schedule, trail = self._bitplane_prepare(
+                    index, testcase, golden, trace)
+                schedules.append(schedule)
+                trails.append(trail)
             self.emulator.reload(self._ckpt_name(index))
+        checkpoints, ladder = self.emulator.saved_state()
+        return PreparedModel(
+            references=tuple(references), checkpoints=checkpoints,
+            ladder=ladder, goldens=tuple(goldens),
+            schedules=tuple(schedules), trails=tuple(trails))
+
+    def _install(self, model: PreparedModel) -> None:
+        """Make ``model`` this experiment's prepared state — the only
+        way prepared state reaches an experiment, whether :meth:`_prepare`
+        built it here or a supervisor shipped it from another process.
+        Leaves the core at the last testcase's cycle-0 checkpoint, as
+        preparing does."""
+        global _LAST_PREPARED
+        self.model = model
+        self.suite = [reference.testcase for reference in model.references]
+        self.references = list(model.references)
+        self.goldens = list(model.goldens)
+        self.schedules = list(model.schedules)
+        self._bp_trails = list(model.trails)
+        self.emulator.load_saved_state(model.checkpoints, model.ladder)
+        if self.suite:
+            self.emulator.reload(self._ckpt_name(len(self.suite) - 1))
+        if type(self.emulator) is AwanEmulator:
+            _LAST_PREPARED = weakref.ref(self)
 
     def _reference_budget(self, testcase: AvpTestcase) -> int:
         return 50 * testcase.instructions_retired + 10_000
 
-    def _reference_run(self, testcase: AvpTestcase,
-                       index: int) -> ReferenceRun:
-        budget = self._reference_budget(testcase)
+    def _checked_reference(self, testcase: AvpTestcase) -> ReferenceRun:
+        """The reference record of the run that just finished, after
+        checking it halted cleanly with the testcase's golden memory."""
         core = self.core
-        if self.fastpath:
-            self._instrumented_reference(index, budget)
-        else:
-            self.host.run_until_quiesce(budget)
         if not core.halted:
             raise AvpBaselineError(
                 f"testcase seed={testcase.seed} did not halt fault-free")
@@ -470,8 +554,10 @@ class SfiExperiment:
         return ReferenceRun(testcase=testcase, cycles=core.cycles,
                             committed=core.committed)
 
-    def _instrumented_reference(self, index: int, budget: int) -> None:
-        """Golden run with ladder rungs and digest samples.
+    def _instrumented_reference(self, index: int, budget: int):
+        """Golden run with ladder rungs and digest samples; returns its
+        :class:`GoldenTrace` and the touch (or, on bit-plane, schedule)
+        trace.
 
         Clocks in chunks that stop at every ``ckpt_stride`` and
         ``digest_stride`` boundary (never exceeding ``poll_interval``,
@@ -511,16 +597,17 @@ class SfiExperiment:
                         digests[core.cycles] = core.state_digest()
             with untraced():
                 final = core.snapshot()
-        self.goldens.append(GoldenTrace(
+        latch_index = self._latch_index
+        golden = GoldenTrace(
             digests=digests,
             events=tuple(core.event_log),
             end_cycle=core.cycles,
             usable=core.event_log.dropped == 0,
             final=final,
-            last_touch=dict(trace.last_touch),
-        ))
-        if self.bitplane:
-            self._schedule_trace = trace
+            last_touch={latch_index[key]: cycle
+                        for key, cycle in trace.last_touch.items()},
+        )
+        return golden, trace
 
     @staticmethod
     def _ckpt_name(index: int) -> str:
@@ -667,8 +754,9 @@ class SfiExperiment:
         latch = site.latch
         # A latch absent from the trace was never touched at all — the
         # most eligible case for the masked exit.
-        last_touch = golden.last_touch.get(id(latch), -1)
-        frozen = golden.final.latches[self._latch_index[id(latch)]]
+        index = self._latch_index[id(latch)]
+        last_touch = golden.last_touch.get(index, -1)
+        frozen = golden.final.latches[index]
         remaining = budget
         while remaining > 0:
             cycle = core.cycles
@@ -703,7 +791,9 @@ class SfiExperiment:
     # ------------------------------------------------------------------
     # Bit-plane backend (waves of trials classified by schedule lookup).
 
-    def _bitplane_prepare(self, index: int) -> None:
+    def _bitplane_prepare(self, index: int, testcase: AvpTestcase,
+                          golden: GoldenTrace,
+                          trace) -> tuple[CompiledSchedule, LagTrail]:
         """Compile the recorded schedule and lay down the bit-plane
         side's dense instrumentation in a second, untraced golden run.
 
@@ -718,21 +808,17 @@ class SfiExperiment:
         compiled), and denser ladder rungs so a peeled lane enters close
         to its first-read cycle.  Every cycle also adds its
         :meth:`Power6Core.latch_key` to the trail's key set, the drain's
-        prefilter in front of the lag map.
+        prefilter in front of the lag map.  Returns the compiled schedule
+        and the trail.
         """
         core = self.core
         emulator = self.emulator
         config = self.config
-        golden = self.goldens[index]
-        testcase = self.suite[index]
-        trace = self._schedule_trace
-        self._schedule_trace = None
         cache_key = ("schedule", repr(config.core_params),
                      repr(config.weights), testcase.seed,
                      config.checker_mask,
                      tuple(sorted(config.mode_overrides.items())))
         schedule = compile_netlist(core, trace, cache_key=cache_key)
-        self.schedules.append(schedule)
         mask = schedule.mask_indices
         keys: set[int] = set()
         lagmap: dict[int, int] = {}
@@ -766,8 +852,8 @@ class SfiExperiment:
             raise AvpBaselineError(
                 f"testcase seed={testcase.seed}: bit-plane golden re-run "
                 "diverged from the reference trajectory")
-        self._bp_trails.append(LagTrail(mask=mask, keys=frozenset(keys),
-                                        first=lagmap, masked=masked))
+        return schedule, LagTrail(mask=mask, keys=frozenset(keys),
+                                  first=lagmap, masked=masked)
 
     def _run_waves(self, scheduled, records, record_hook) -> None:
         """Batch scheduled plan items into waves and execute them.
@@ -1051,9 +1137,10 @@ class SfiExperiment:
         stride = BITPLANE_DIGEST_STRIDE
         end = golden.end_cycle
         latch = site.latch
-        in_mask = self._latch_index[id(latch)] in mask
-        last_touch = golden.last_touch.get(id(latch), -1)
-        frozen = golden.final.latches[self._latch_index[id(latch)]]
+        index = self._latch_index[id(latch)]
+        in_mask = index in mask
+        last_touch = golden.last_touch.get(index, -1)
+        frozen = golden.final.latches[index]
         rstate = core.pervasive.rstate
         remaining = budget
         while remaining > 0:

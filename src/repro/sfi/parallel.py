@@ -2,10 +2,15 @@
 
 "Multiple concurrent copies of the simulation environment can be run
 relatively easily, which is not the case with the beam experiments"
-(§2.2).  This module shards a campaign across worker processes, each of
-which builds its own copy of the prepared machine from the (picklable)
-campaign configuration and runs its slice; the shards merge into one
-:class:`~repro.sfi.results.CampaignResult`.
+(§2.2).  This module shards a campaign across worker processes; the shards
+merge into one :class:`~repro.sfi.results.CampaignResult`.  A copy is
+cheap because the machine is prepared once: when the caller holds a live
+experiment of the same configuration (the CLI's probe), its prepared
+model — checkpoints, ladder rungs, references and golden traces — is
+shipped to the workers, which install it instead of re-running the
+reference executions (see :func:`repro.sfi.campaign.prepared_model`).
+Without one, each worker prepares its own copy from the (picklable)
+campaign configuration.
 
 Execution is delegated to :class:`~repro.sfi.supervisor.CampaignSupervisor`,
 so shards are individually tracked jobs with timeouts, retries and
@@ -42,9 +47,11 @@ def run_parallel_campaign(config: CampaignConfig, sites: list[int],
                           **supervisor_options) -> CampaignResult:
     """Run ``sites`` as a supervised campaign across ``workers`` processes.
 
-    Each worker prepares an identical machine (same config, same AVP
-    suite, same checkpoints) and runs its shard of the injection plan;
-    results are bit-identical for any ``workers`` value.  When
+    Every worker runs its shard of the injection plan on an identical
+    machine (same config, same AVP suite, same checkpoints): the
+    prepared model of a live experiment with an equal ``config`` is
+    shipped to the workers, which otherwise prepare it themselves.
+    Results are bit-identical for any ``workers`` value.  When
     ``population_bits`` is 0 the workers' own latch population is used,
     so serial and parallel runs report the same coverage fractions.
     Extra keyword arguments (``journal``, ``resume``, ``shard_timeout``,

@@ -17,7 +17,10 @@ campaign the way a RAS design supervises a core:
   resumes from the journal and produces the same merged result as an
   uninterrupted run;
 * if worker processes cannot be spawned at all, the supervisor degrades
-  to in-process serial execution rather than aborting.
+  to in-process serial execution rather than aborting;
+* the model is prepared once: the caller's prepared model is shipped to
+  the workers through a temporary file instead of each worker re-running
+  the fault-free references.
 
 Determinism holds across all of this because every injection is a
 self-contained :class:`~repro.sfi.campaign.InjectionPlan` item whose RNG
@@ -30,7 +33,9 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
+import pickle
 import queue as queue_module
+import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -46,6 +51,7 @@ from repro.sfi.campaign import (
     observe_provenance_metrics,
     partition_plan,
     plan_injections,
+    prepared_model,
 )
 from repro.sfi.results import CampaignResult
 from repro.sfi.service.backoff import DEFAULT_CAP, backoff_delay
@@ -278,8 +284,12 @@ class _SupervisorInstruments:
 # ----------------------------------------------------------------------
 # Worker side.
 
-# Worker-side cache: one prepared machine per (config, process), so a
-# long-lived worker re-running shards does not re-prepare the model.
+# One prepared machine per (config, process), so a long-lived worker
+# re-running shards does not re-prepare the model.  Pool workers find it
+# seeded from the model the parent shipped (_load_shipped_model); the
+# parent's own serial and degraded paths install the model of its live
+# probe from the registry (repro.sfi.campaign.prepared_model); only a
+# process with neither prepares from scratch.
 _WORKER_EXPERIMENT: SfiExperiment | None = None
 _WORKER_CONFIG: CampaignConfig | None = None
 
@@ -287,9 +297,44 @@ _WORKER_CONFIG: CampaignConfig | None = None
 def _cached_experiment(config: CampaignConfig) -> SfiExperiment:
     global _WORKER_EXPERIMENT, _WORKER_CONFIG
     if _WORKER_EXPERIMENT is None or _WORKER_CONFIG != config:
-        _WORKER_EXPERIMENT = SfiExperiment(config)
+        _WORKER_EXPERIMENT = SfiExperiment(config,
+                                           model=prepared_model(config))
         _WORKER_CONFIG = config
     return _WORKER_EXPERIMENT
+
+
+def _ship_model(config: CampaignConfig) -> str | None:
+    """Pickle the registry's prepared model for ``config`` to a temporary
+    file and return its path (None when there is nothing to ship).
+
+    Streamed with ``pickle.dump`` rather than built as bytes, so neither
+    side holds a second copy of the model; the caller deletes the file.
+    """
+    model = prepared_model(config)
+    if model is None:
+        return None
+    handle = tempfile.NamedTemporaryFile(prefix="repro-sfi-model-",
+                                         suffix=".pickle", delete=False)
+    try:
+        with handle:
+            pickle.dump(model, handle, protocol=pickle.HIGHEST_PROTOCOL)
+    except BaseException:
+        os.remove(handle.name)
+        raise
+    return handle.name
+
+
+def _load_shipped_model(config: CampaignConfig, path: str) -> None:
+    """Seed this worker's cached experiment from a shipped model file.
+
+    A file that cannot be read raises, failing the shard through the
+    supervisor's retry path; it never falls back to re-preparing.
+    """
+    global _WORKER_EXPERIMENT, _WORKER_CONFIG
+    with open(path, "rb") as handle:
+        model = pickle.load(handle)
+    _WORKER_EXPERIMENT = SfiExperiment(config, model=model)
+    _WORKER_CONFIG = config
 
 
 def run_shard(config: CampaignConfig, items: list[InjectionPlan], seed: int,
@@ -329,9 +374,14 @@ def run_shard(config: CampaignConfig, items: list[InjectionPlan], seed: int,
 
 
 def _shard_worker(runner, config: CampaignConfig, shard_id: int,
-                  items: list[InjectionPlan], seed: int, out_queue) -> None:
-    """Process entry point: run one shard, streaming records back."""
+                  items: list[InjectionPlan], seed: int, out_queue,
+                  model_path: str | None = None) -> None:
+    """Process entry point: install the shipped model (when the parent
+    sent one), then run one shard, streaming records back."""
     try:
+        if model_path is not None:
+            _load_shipped_model(config, model_path)
+
         def emit(pos, rec):
             out_queue.put(("record", shard_id, pos, rec))
 
@@ -438,6 +488,8 @@ class CampaignSupervisor:
         self.trace = trace
         self.trace_root: str | None = None
         self._ids = itertools.count()
+        # The prepared model shipped to this run's pool workers.
+        self._model_path: str | None = None
         self._degraded = False
         self._journal: CampaignJournal | None = None
         #: Merged provenance aggregate of the last run (None unless
@@ -665,7 +717,7 @@ class CampaignSupervisor:
         process = context.Process(
             target=_shard_worker,
             args=(self.runner, self.config, job.shard_id, job.remaining(),
-                  seed, out_queue),
+                  seed, out_queue, self._model_path),
             daemon=True)
         process.start()
         job.process = process
@@ -678,6 +730,24 @@ class CampaignSupervisor:
 
     def _run_supervised(self, items: list[InjectionPlan], seed: int,
                         collect) -> None:
+        """Run ``items`` on the supervised pool, shipping the prepared
+        model once.
+
+        The model goes to a temporary file whose path rides the worker
+        arguments; the model itself never does, because spawn's
+        ``Process.start`` blocks while it writes a large argument pickle
+        into the child's bootstrap pipe, serialising worker start-up.
+        """
+        self._model_path = _ship_model(self.config)
+        try:
+            self._dispatch(items, seed, collect)
+        finally:
+            if self._model_path is not None:
+                os.remove(self._model_path)
+                self._model_path = None
+
+    def _dispatch(self, items: list[InjectionPlan], seed: int,
+                  collect) -> None:
         shards = _shard_items(items, min(self.workers, len(items)))
         now = time.monotonic()
         todo: list[_ShardJob] = [

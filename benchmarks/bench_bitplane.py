@@ -11,6 +11,13 @@ schedule, which is amortized across every campaign that reuses the
 cached schedule), checks record equality, and publishes
 ``benchmarks/results/BENCH_bitplane.json``.
 
+The 5x floor divides a fixed anchor, not the live fast path:
+``_FASTPATH_ANCHOR_CYCLES`` is the fast path's campaign cycles on this
+campaign before it resolved never-touched flips at the injection point
+(12326), so the gate still bounds bit-plane campaign cycles at 2465
+(12326 / 5) now that the fast path itself simulates fewer.  The ratio
+to the live fast path is published beside it.
+
 Beside the cycles floor sits a wall-clock gate: bit-plane campaign
 trials/s must reach 1.5x the fast path's.  A cycles proxy alone cannot
 see host-side costs such as per-cycle state digests, so both backends
@@ -36,6 +43,10 @@ _TRIALS = 120
 _PARAMS = CoreParams(scale=0.15, icache_lines=32, dcache_lines=32)
 _ROUNDS = 3
 _WALL_FLOOR = 1.5
+_CYCLES_FLOOR = 5.0
+# Fast-path campaign cycles of this pinned campaign as recorded before
+# the at-injection masked exit (BENCH_bitplane.json, fastpath side).
+_FASTPATH_ANCHOR_CYCLES = 12326
 
 
 def _campaign(backend: str):
@@ -79,7 +90,7 @@ def test_bitplane_speedup(benchmark):
 
     fast = _side(fast_cycles, fast_wall)
     bitplane = _side(bp_cycles, bp_wall)
-    cycles_speedup = fast_cycles / bp_cycles
+    cycles_speedup = _FASTPATH_ANCHOR_CYCLES / bp_cycles
     wall_speedup = fast_wall / bp_wall
     detail = {
         "workload": "AVP suite (Table-1 mix)",
@@ -87,15 +98,18 @@ def test_bitplane_speedup(benchmark):
         "suite_size": 2,
         "fastpath": fast,
         "bitplane": bitplane,
+        "fastpath_anchor_cycles": _FASTPATH_ANCHOR_CYCLES,
         "speedup_cycles": round(cycles_speedup, 2),
+        "speedup_cycles_live": round(fast_cycles / bp_cycles, 2),
         "speedup_wall": round(wall_speedup, 2),
         "wall_floor": _WALL_FLOOR,
         "wall_timing": f"min of {_ROUNDS}, interleaved",
         "records_bit_identical": fast_result.records == bp_result.records,
     }
     write_bench_json(
-        "bitplane", "speedup_cycles", detail["speedup_cycles"], 5.0,
-        cycles_speedup >= 5.0 and wall_speedup >= _WALL_FLOOR
+        "bitplane", "speedup_cycles", detail["speedup_cycles"],
+        _CYCLES_FLOOR,
+        cycles_speedup >= _CYCLES_FLOOR and wall_speedup >= _WALL_FLOOR
         and detail["records_bit_identical"],
         detail=detail)
 
@@ -108,7 +122,10 @@ def test_bitplane_speedup(benchmark):
         f"  bit-plane cycles/trial:    {bitplane['cycles_per_trial']:10.1f}"
         f"   ({bitplane['trials_per_second']:.1f} trials/s)",
         f"  campaign-cycles speedup:   {cycles_speedup:10.2f} x"
-        "   (acceptance floor: 5x over the PR-4 fast path)",
+        f"   (floor: {_CYCLES_FLOOR:g}x over {_FASTPATH_ANCHOR_CYCLES}"
+        " anchored fast-path cycles)",
+        f"  vs the live fast path:     "
+        f"{detail['speedup_cycles_live']:10.2f} x",
         f"  wall-clock speedup:        {wall_speedup:10.2f} x"
         f"   (floor: {_WALL_FLOOR}x; min of {_ROUNDS}, interleaved)",
         f"  records bit-identical:     {detail['records_bit_identical']}",
@@ -120,8 +137,9 @@ def test_bitplane_speedup(benchmark):
     # host wall-clock gain that survives per-cycle host costs.
     assert fast_result.records == bp_result.records
     assert bp_cycles < fast_cycles
-    assert cycles_speedup >= 5.0, \
-        f"bit-plane only {cycles_speedup:.2f}x below the 5x floor"
+    assert cycles_speedup >= _CYCLES_FLOOR, \
+        f"bit-plane only {cycles_speedup:.2f}x below the " \
+        f"{_CYCLES_FLOOR:g}x floor"
     assert wall_speedup >= _WALL_FLOOR, \
         f"bit-plane trials/s only {wall_speedup:.2f}x the fast path's, " \
         f"below the {_WALL_FLOOR}x wall-clock floor"

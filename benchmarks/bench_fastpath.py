@@ -5,7 +5,9 @@ per trial on the Table-1 workload mix (the AVP suite every campaign
 runs) at the default ``--ckpt-stride``, while staying bit-identical to
 the slow path.  This bench runs the same mini-campaign both ways on one
 prepared machine, checks record equality, and publishes the numbers as
-``benchmarks/results/BENCH_fastpath.json`` (plus a rendered text table).
+``benchmarks/results/BENCH_fastpath.json`` (plus a rendered text table),
+with the fast side's exit mix as its ``fastpath_hook`` reports it
+(``"none"``: drained to quiesce) and its ladder hits and misses.
 
 CI runs this as the fast-path smoke: the strict-inequality assertion
 (fast simulates *fewer* cycles) and the 3x floor gate regressions.
@@ -13,6 +15,7 @@ CI runs this as the fast-path smoke: the strict-inequality assertion
 
 import random
 import time
+from collections import Counter
 
 from repro.cpu import CoreParams
 from repro.sfi import CampaignConfig, SfiExperiment
@@ -30,10 +33,13 @@ def _campaign(fastpath: bool, flips: int):
     experiment = SfiExperiment(config)
     sites = random_sample(experiment.latch_map, flips,
                           random.Random(_SEED ^ 0x5F1))
+    exits: Counter = Counter()
+    experiment.fastpath_hook = \
+        lambda _position, extras: exits.update([extras.get("exit", "none")])
     start = time.perf_counter()
     result = experiment.run_campaign(sites, seed=_SEED)
     wall = time.perf_counter() - start
-    return experiment, result, wall
+    return experiment, result, wall, exits
 
 
 def _side(experiment, wall: float, flips: int) -> dict:
@@ -50,13 +56,10 @@ def test_fastpath_speedup(benchmark):
     flips = scaled(120, minimum=40)
 
     def run():
-        slow_exp, slow_result, slow_wall = _campaign(False, flips)
-        fast_exp, fast_result, fast_wall = _campaign(True, flips)
-        return (slow_exp, slow_result, slow_wall,
-                fast_exp, fast_result, fast_wall)
+        return _campaign(False, flips), _campaign(True, flips)
 
-    (slow_exp, slow_result, slow_wall,
-     fast_exp, fast_result, fast_wall) = benchmark.pedantic(
+    ((slow_exp, slow_result, slow_wall, _),
+     (fast_exp, fast_result, fast_wall, exits)) = benchmark.pedantic(
         run, rounds=1, iterations=1)
 
     slow = _side(slow_exp, slow_wall, flips)
@@ -72,8 +75,9 @@ def test_fastpath_speedup(benchmark):
         "speedup_cycles": round(cycles_speedup, 2),
         "speedup_wall": round(slow_wall / fast_wall, 2),
         "records_bit_identical": slow_result.records == fast_result.records,
-        "early_exits": (fast_exp.emulator.stats.ladder_hits,
-                        fast_exp.emulator.stats.ladder_misses),
+        "early_exits": dict(sorted(exits.items())),
+        "ladder": {"hits": fast_exp.emulator.stats.ladder_hits,
+                   "misses": fast_exp.emulator.stats.ladder_misses},
     }
     write_bench_json(
         "fastpath", "speedup_cycles", detail["speedup_cycles"], 3.0,
@@ -91,6 +95,11 @@ def test_fastpath_speedup(benchmark):
         f"  cycles-simulated speedup:  {cycles_speedup:10.2f} x"
         "   (acceptance floor: 3x)",
         f"  wall-clock speedup:        {detail['speedup_wall']:10.2f} x",
+        "  fast-path exits:           " + ", ".join(
+            f"{kind} {count}" for kind, count
+            in detail["early_exits"].items()),
+        f"  ladder hits / misses:      {detail['ladder']['hits']}"
+        f" / {detail['ladder']['misses']}",
         f"  records bit-identical:     {detail['records_bit_identical']}",
     ]
     publish("fastpath", "\n".join(lines))

@@ -1,12 +1,22 @@
 """Latch touch tracing for golden reference runs.
 
-The fast path's *masked* early exit (see ``sfi/campaign.py``) needs one
+The fast path's *masked* early exits (see ``sfi/campaign.py``) need one
 fact about the fault-free run: after which cycle is a given latch never
 read or written again?  If the faulty machine matches the golden state
 everywhere except the injected latch, and the golden run never touches
 that latch afterwards, then both runs evolve identically from here with
 the flip frozen in place — the trial's remaining cycles are already
-known.
+known.  The commonest case needs no faulty machine at all: a flip of a
+latch whose last touch is at or before the inject cycle is frozen from
+the injection on, so ``SfiExperiment.run_one`` builds the record from
+the golden run without simulating a cycle.
+
+Stamps are cycle numbers as :meth:`Power6Core.cycle` leaves them: it
+increments ``cycles`` before the step's logic runs, so an access during
+the step into cycle ``c`` (or a poll right after it) is stamped ``c``.
+An injection at cycle ``c`` follows that step, which makes
+``last_touch <= inject_cycle`` the exact "never accessed after the flip"
+bound, not ``<``.
 
 :func:`trace_touches` records that fact by swapping every core latch's
 class to a zero-slot subclass whose ``value``/``par`` attributes are

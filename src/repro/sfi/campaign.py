@@ -191,10 +191,12 @@ class GoldenTrace:
     simulating to it), and ``last_touch`` maps a latch's position in
     :meth:`Power6Core.all_latches` order to the last cycle the fault-free
     run read or wrote it (see :mod:`repro.cpu.touchtrace`) — the licence
-    for the masked early exit: a flip confined to a latch the golden run
+    for the masked early exits: a flip confined to a latch the golden run
     never touches again is frozen, so the trial's future is the golden
-    future.  Positions, unlike the tracer's ``id(latch)`` keys, mean the
-    same latch in every process.
+    future (and when the last touch is at or before the inject cycle,
+    the trial is resolved at the injection point).  Positions, unlike
+    the tracer's ``id(latch)`` keys, mean the same latch in every
+    process.
     """
 
     digests: dict[int, int]
@@ -295,8 +297,10 @@ _DETECTION_LATENCY_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
 _PEAK_BITS_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
                       512.0, 1024.0, float("inf"))
 
-# Trial lanes per resolved bit-plane wave.
-_WAVE_OCCUPANCY_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 63.0,
+# Trial lanes per resolved bit-plane wave (by default a whole
+# testcase's trials, so waves are not bounded by a machine word).
+_WAVE_OCCUPANCY_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
+                           256.0, 512.0, 1024.0, 2048.0, 4096.0,
                            float("inf"))
 
 
@@ -627,6 +631,15 @@ class SfiExperiment:
         returned record is bit-identical to the slow path's — the
         differential suite (``pytest -m differential``) enforces this.
 
+        A TOGGLE flip of a latch the golden run never reads or writes
+        after ``inject_cycle`` (its last touch is at or before the
+        injection, which follows that cycle's step) needs no simulation
+        at all: the flip is frozen from the start, so the trial is
+        built from the golden run — its final state with the flip
+        applied and its events with the INJECTION spliced in — and
+        exits ``"masked"`` without restoring a rung.  This needs a
+        usable golden trace (the event tail must be complete).
+
         ``provenance`` (default: the config flag) runs the trial with
         the taint tracker installed — full reload + drain-to-quiesce, no
         ladder or early exit, because the tracker must see every
@@ -640,57 +653,81 @@ class SfiExperiment:
         inst = self._instruments
         track = config.provenance if provenance is None else provenance
         fast = self.fastpath and not track
-        if fast:
-            start_cycle = emulator.restore_nearest(
-                self._ckpt_name(testcase_index), inject_cycle)
-        else:
-            emulator.reload(self._ckpt_name(testcase_index))
-            start_cycle = core.cycles
-        if inject_cycle > start_cycle:
-            emulator.clock(inject_cycle - start_cycle)
-        site = emulator.inject(site_index, config.injection_mode,
-                               config.sticky_cycles)
-        budget = (reference.cycles - inject_cycle) + config.drain_cycles
         golden = self.goldens[testcase_index] if fast else None
-        exit_kind = None
+        site = self.latch_map.site(site_index)
         tracker_payload = None
-        if track:
-            # Install after the flip (the injection write itself is the
-            # DAG root, not an edge) and uninstall before classification
-            # (golden-comparison reads are observational).
-            with taint_trace(core, site.latch) as tracker:
-                self.host.run_until_quiesce(budget)
-            tracker_payload = tracker.payload()
-        elif golden is not None and golden.usable:
-            exit_kind = self._drain_with_digests(golden, budget, site)
-        else:
-            self.host.run_until_quiesce(budget)
-        cycles_saved = start_cycle
-        if exit_kind is not None:
-            # The trial's remaining evolution is the golden tail (state
-            # fully rejoined, or the flip is frozen in a latch the golden
-            # run never touches again), so reconstruct the final state
-            # instead of simulating to it: restore the golden-final
-            # snapshot, splice the golden events after the exit cycle
-            # through the ring (so the trace and its truncation match a
-            # full drain), and — for a masked exit — re-freeze the flip.
-            cut = core.cycles
-            cycles_saved += golden.end_cycle - cut
-            frozen = (site.latch.value, site.latch.par)
-            events = core.event_log.snapshot()
+        # An access during step c is stamped c and the injection follows
+        # step ``inject_cycle``, so a last touch *at* the inject cycle
+        # precedes the flip.  The trace over-approximates accesses,
+        # which can only suppress this exit.
+        at_injection = (
+            golden is not None and golden.usable
+            and config.injection_mode is InjectionMode.TOGGLE
+            and golden.last_touch.get(self._latch_index[id(site.latch)],
+                                      -1) <= inject_cycle)
+        if at_injection:
+            # No trial cycle can differ from golden except in the flipped
+            # bit, which nothing reads or overwrites: the final state is
+            # golden-final with the flip, the events are golden's with
+            # the INJECTION spliced in.
             core.restore(golden.final)
-            core.event_log.restore(events)
-            core.event_log.replay(
-                event for event in golden.events if event.cycle > cut)
-            if exit_kind == "masked":
-                site.latch.value, site.latch.par = frozen
+            self._golden_injection(golden, site, inject_cycle)
+            exit_kind = "masked"
+            cycles_saved = golden.end_cycle
+        else:
+            if fast:
+                start_cycle = emulator.restore_nearest(
+                    self._ckpt_name(testcase_index), inject_cycle)
+            else:
+                emulator.reload(self._ckpt_name(testcase_index))
+                start_cycle = core.cycles
+            if inject_cycle > start_cycle:
+                emulator.clock(inject_cycle - start_cycle)
+            emulator.inject(site_index, config.injection_mode,
+                            config.sticky_cycles)
+            budget = ((reference.cycles - inject_cycle)
+                      + config.drain_cycles)
+            exit_kind = None
+            if track:
+                # Install after the flip (the injection write itself is
+                # the DAG root, not an edge) and uninstall before
+                # classification (golden-comparison reads are
+                # observational).
+                with taint_trace(core, site.latch) as tracker:
+                    self.host.run_until_quiesce(budget)
+                tracker_payload = tracker.payload()
+            elif golden is not None and golden.usable:
+                exit_kind = self._drain_with_digests(golden, budget, site)
+            else:
+                self.host.run_until_quiesce(budget)
+            cycles_saved = start_cycle
+            if exit_kind is not None:
+                # The trial's remaining evolution is the golden tail
+                # (state fully rejoined, or the flip is frozen in a latch
+                # the golden run never touches again), so reconstruct the
+                # final state instead of simulating to it: restore the
+                # golden-final snapshot, splice the golden events after
+                # the exit cycle through the ring (so the trace and its
+                # truncation match a full drain), and — for a masked
+                # exit — re-freeze the flip.
+                cut = core.cycles
+                cycles_saved += golden.end_cycle - cut
+                frozen = (site.latch.value, site.latch.par)
+                events = core.event_log.snapshot()
+                core.restore(golden.final)
+                core.event_log.restore(events)
+                core.event_log.replay(
+                    event for event in golden.events if event.cycle > cut)
+                if exit_kind == "masked":
+                    site.latch.value, site.latch.par = frozen
         outcome = classify(core, reference.testcase,
                            config.classify_options)
         if inst is not None and fast:
-            if start_cycle > 0:
-                inst.ladder_hits.inc()
-            else:
-                inst.ladder_misses.inc()
+            if not at_injection:  # no rung restored: neither counts
+                if start_cycle > 0:
+                    inst.ladder_hits.inc()
+                else:
+                    inst.ladder_misses.inc()
             if exit_kind is not None:
                 inst.early_exits.inc(reason=exit_kind)
             inst.cycles_saved.observe(cycles_saved)
@@ -730,6 +767,37 @@ class SfiExperiment:
             outcome=outcome,
             trace=tuple(core.event_log),
         )
+
+    def _golden_injection(self, golden: GoldenTrace, site,
+                          inject_cycle: int, level: int | None = None,
+                          until: int | None = None) -> None:
+        """Splice a TOGGLE injection at ``inject_cycle`` into the golden
+        state the core holds, without simulating it.
+
+        Unless ``level`` is given, flip ``site`` in the current state
+        and record the level it flips to; that is exact when the golden
+        run leaves the bit alone between the injection and the current
+        state.  A given ``level`` is recorded without flipping (a
+        converged lane: golden overwrites the flip before reading it).
+        The event log becomes the golden events up to ``inject_cycle``,
+        the INJECTION event, then the golden events after it up to
+        ``until`` (default: all of them), replayed through the ring so
+        truncation matches a real drain.  Counts the injection in the
+        engine stats, as :meth:`AwanEmulator.inject` does.
+        """
+        if level is None:
+            level = site.inject()
+        self.emulator.stats.injections += 1
+        log = self.core.event_log
+        log.clear()
+        log.replay(event for event in golden.events
+                   if event.cycle <= inject_cycle)
+        log.record(inject_cycle, EventKind.INJECTION,
+                   f"{site.name} -> {level} "
+                   f"({self.config.injection_mode.value})")
+        log.replay(event for event in golden.events
+                   if inject_cycle < event.cycle
+                   and (until is None or event.cycle <= until))
 
     def _drain_with_digests(self, golden: GoldenTrace, budget: int,
                             site) -> str | None:
@@ -952,21 +1020,15 @@ class SfiExperiment:
         golden = self.goldens[tc_index]
         reference = self.references[tc_index]
         site = self.latch_map.site(site_index)
-        index = self._latch_index[id(site.latch)]
-        old = schedule.level_at(index, site.bit, site.is_parity_bit,
-                                schedule.boundary(inject_cycle))
         core.restore(golden.final)
-        log = core.event_log
-        log.clear()
-        log.replay(event for event in golden.events
-                   if event.cycle <= inject_cycle)
-        log.record(inject_cycle, EventKind.INJECTION,
-                   f"{site.name} -> {old ^ 1} "
-                   f"({config.injection_mode.value})")
-        log.replay(event for event in golden.events
-                   if event.cycle > inject_cycle)
         if fate == "survive":
-            site.inject()
+            self._golden_injection(golden, site, inject_cycle)
+        else:
+            index = self._latch_index[id(site.latch)]
+            old = schedule.level_at(index, site.bit, site.is_parity_bit,
+                                    schedule.boundary(inject_cycle))
+            self._golden_injection(golden, site, inject_cycle,
+                                   level=old ^ 1)
         outcome = classify(core, reference.testcase,
                            config.classify_options)
         if self._instruments is not None:
@@ -1020,17 +1082,8 @@ class SfiExperiment:
             # no golden event touches the bit in (inject, entry], so the
             # trial state there is the golden state plus the flip.
             site = self.latch_map.site(site_index)
-            level = site.inject()
-            emulator.stats.injections += 1
-            log = core.event_log
-            log.clear()
-            log.replay(event for event in golden.events
-                       if event.cycle <= inject_cycle)
-            log.record(inject_cycle, EventKind.INJECTION,
-                       f"{site.name} -> {level} "
-                       f"({config.injection_mode.value})")
-            log.replay(event for event in golden.events
-                       if inject_cycle < event.cycle <= start_cycle)
+            self._golden_injection(golden, site, inject_cycle,
+                                   until=start_cycle)
             skipped = start_cycle - inject_cycle
         budget = ((reference.cycles - inject_cycle) + config.drain_cycles
                   - skipped)

@@ -100,3 +100,34 @@ class TestRawMode:
         # (the hardwired checkstop network — e.g. a flipped checkstop-FIR
         # bit — is not a checker and can still fire).
         assert result.counts()[Outcome.CORRECTED] == 0
+
+
+class TestEngineAccounting:
+    @pytest.mark.parametrize("backend", ["scalar", "bitplane"])
+    def test_every_trial_counts_one_injection(self, backend):
+        """Trials resolved without simulating (at-injection masked
+        exits, wave converge/survive, peels entered past the flip)
+        count in the engine stats like simulated ones."""
+        experiment = SfiExperiment(CampaignConfig(
+            suite_size=2, suite_seed=99, core_params=SMALL_PARAMS,
+            backend=backend))
+        before = experiment.emulator.stats.injections
+        result = experiment.run_random_campaign(60, seed=4)
+        assert result.total == 60
+        assert experiment.emulator.stats.injections - before == 60
+
+    def test_default_waves_land_in_a_finite_occupancy_bucket(self):
+        """A default wave is a whole testcase's trials, well past the
+        64 lanes of a machine word; the histogram still resolves it."""
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        experiment = SfiExperiment(CampaignConfig(
+            suite_size=2, suite_seed=99, core_params=SMALL_PARAMS,
+            backend="bitplane"), metrics=registry)
+        experiment.run_random_campaign(160, seed=4)
+        occupancy = registry.get("sfi_wave_occupancy_lanes")
+        assert occupancy.count() == 2
+        assert occupancy.sum() / occupancy.count() > 64
+        (_, finite), (_, total) = occupancy.cumulative_buckets(())[-2:]
+        assert finite == total == 2

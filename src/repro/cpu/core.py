@@ -75,6 +75,11 @@ class Power6Core:
         self.fxu = Fxu(self, self.params)
         self.fpu = Fpu(self, self.params)
         self.lsu = Lsu(self, self.params)
+        # Execution unit each opcode class dispatches to (see
+        # ``Predecoded.unit``).
+        self.dispatch_units = {"FXU": self.fxu, "BRU": self.fxu,
+                               "SYS": self.fxu, "LSU": self.lsu,
+                               "FPU": self.fpu}
         self.units = {
             "IFU": self.ifu, "IDU": self.idu, "FXU": self.fxu,
             "FPU": self.fpu, "LSU": self.lsu, "RUT": self.rut,
@@ -227,9 +232,10 @@ class Power6Core:
         """Nothing further can happen: halted with all stores drained, or a
         terminal error state was reached."""
         nest_idle = self.nest.quiesced() if self.nest is not None else True
-        return (self.checkstopped or self.hung
-                or (self.halted and self.lsu.stq_empty() and nest_idle
-                    and not self.rut.cmt_val.value))
+        perv = self.pervasive
+        return bool(perv.xstop.value or perv.hang.value
+                    or (self.halted and not self.lsu.sq_valid.value
+                        and nest_idle and not self.rut.cmt_val.value))
 
     def run(self, max_cycles: int = 100_000) -> int:
         """Run until the machine quiesces; returns cycles consumed."""
@@ -336,7 +342,7 @@ class Power6Core:
         sizes, not in a serialisation: at default core parameters (1033
         latches, two 512-word caches) a full digest costs ~90 µs and a
         lag-free digest under an ~80% mask ~45 µs on a 2-CPU x86 host —
-        roughly one to two simulated cycles.  Array contents and memory
+        roughly two to four simulated cycles.  Array contents and memory
         are about two thirds of the masked cost, so callers that digest
         every cycle should prefilter on the kept latch values first
         (see ``SfiExperiment._drain_bitplane``).

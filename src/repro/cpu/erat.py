@@ -49,12 +49,20 @@ class Erat(HwModule):
         vpn = (addr >> PAGE_BITS) & ((1 << VPN_WIDTH) - 1)
         offset = addr & ((1 << PAGE_BITS) - 1)
         valid = self.valid.value
-        matches = [i for i in range(self.entries)
-                   if (valid >> i) & 1 and self.vpn[i].value == vpn]
-        if len(matches) > 1:
+        # Every valid entry's VPN is compared (as the CAM does), even past
+        # a second match.
+        vpns = self.vpn
+        entry = -1
+        multihit = False
+        for i in range(self.entries):
+            if (valid >> i) & 1 and vpns[i].value == vpn:
+                if entry < 0:
+                    entry = i
+                else:
+                    multihit = True
+        if multihit:
             return "multihit", 0
-        if matches:
-            entry = matches[0]
+        if entry >= 0:
             if not self.vpn[entry].parity_ok() or not self.rpn[entry].parity_ok():
                 return "parity", entry
             return "ok", (self.rpn[entry].value << PAGE_BITS) | offset

@@ -9,7 +9,7 @@ masked under an integer-dominated workload.
 from __future__ import annotations
 
 from repro.isa import alu
-from repro.isa.opcodes import Opcode, op_info
+from repro.isa.opcodes import Opcode
 from repro.rtl.module import HwModule
 
 from repro.cpu.checkers import Checker
@@ -70,7 +70,7 @@ class Fpu(HwModule):
         self.b.write(operands.get(("f", dec.rb), 0))
         self.npc.write(next_pc)
         self.flags.write(Fxu.F_WFPR)
-        self.cnt.write(max(0, op_info(dec.op).latency - 1))
+        self.cnt.write(max(0, dec.latency - 1))
         self.itag.write(itag)
 
     def cycle(self) -> None:

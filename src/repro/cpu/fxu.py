@@ -10,7 +10,7 @@ by exactly one checker.
 from __future__ import annotations
 
 from repro.isa import alu
-from repro.isa.opcodes import Opcode, op_info
+from repro.isa.opcodes import Opcode
 from repro.rtl.module import HwModule
 
 from repro.cpu.checkers import Checker
@@ -93,7 +93,7 @@ class Fxu(HwModule):
             a = operands.get(("g", dec.ra), 0)
             if op in _ZEXT_IMM:
                 b = dec.imm & 0xFFFF
-            elif op_info(op).has_imm:
+            elif dec.has_imm:
                 b = dec.imm & 0xFFFFFFFF
             else:
                 b = operands.get(("g", dec.rb), 0)
@@ -116,7 +116,7 @@ class Fxu(HwModule):
         self.b.write(b)
         self.npc.write(next_pc)
         self.flags.write(flags)
-        self.cnt.write(max(0, op_info(op).latency - 1))
+        self.cnt.write(max(0, dec.latency - 1))
         self.itag.write(itag)
 
     def cycle(self) -> None:

@@ -10,7 +10,8 @@ the pervasive watchdog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from typing import NamedTuple
 
 from repro.isa import alu
 from repro.isa.encoding import decode
@@ -19,6 +20,7 @@ from repro.rtl.module import HwModule
 
 from repro.cpu.checkers import Checker
 from repro.cpu.debugblock import DebugBlock
+from repro.cpu.fxu import Fxu
 from repro.cpu.regfile import COPY_EXEC, COPY_LS
 
 _STORE_GPR = frozenset({Opcode.STW, Opcode.STB})
@@ -30,12 +32,11 @@ _XFORM_FXU = frozenset({Opcode.ADD, Opcode.SUB, Opcode.MULLW, Opcode.DIVW,
                         Opcode.SRW, Opcode.SRAW, Opcode.CMPW, Opcode.CMPLW})
 _IFORM_FXU = frozenset({Opcode.ADDI, Opcode.ANDI, Opcode.ORI, Opcode.XORI,
                         Opcode.SLWI, Opcode.SRWI, Opcode.CMPWI})
-_ZEXT_IMM = frozenset({Opcode.ANDI, Opcode.ORI, Opcode.XORI})
 
 
-@dataclass
-class _Decoded:
-    """Dispatch-relevant fields extracted from one instruction."""
+class Predecoded(NamedTuple):
+    """Dispatch-relevant fields of one instruction word, plus the static
+    opcode metadata (``unit``, ``latency``, ``has_imm``) dispatch needs."""
 
     op: Opcode
     rt: int
@@ -52,6 +53,58 @@ class _Decoded:
     writes_cr: bool
     writes_lr: bool
     writes_ctr: bool
+    unit: str
+    latency: int
+    has_imm: bool
+
+
+@functools.lru_cache(maxsize=4096)
+def predecode(word: int) -> Predecoded | None:
+    """Decode one 32-bit instruction word for dispatch, once per word.
+
+    A pure function of the word (faulty words included), so the result
+    is cached: a testcase's loop body decodes from the cache after its
+    first iteration.  Returns None for an undefined opcode or ATTN,
+    which the decoder reports as an illegal instruction.
+    """
+    instr = decode(word)
+    if not is_valid_opcode(instr.op) or instr.op == Opcode.ATTN:
+        return None
+    op = Opcode(instr.op)
+    info = op_info(op)
+    gpr_sources: tuple = ()
+    fpr_sources: tuple = ()
+    reads_cr = reads_lr = reads_ctr = False
+    if op in _XFORM_FXU:
+        gpr_sources = (instr.ra, instr.rb)
+    elif op in _IFORM_FXU:
+        gpr_sources = (instr.ra,)
+    elif op in _LSU_OPS:
+        gpr_sources = (instr.ra,)
+        if op in _STORE_GPR:
+            gpr_sources = (instr.ra, instr.rt)
+        elif op is Opcode.STFS:
+            fpr_sources = (instr.rt,)
+    elif op in _FPU_OPS:
+        fpr_sources = (instr.ra, instr.rb)
+    elif op is Opcode.BC:
+        reads_cr = True
+    elif op is Opcode.BLR or op is Opcode.MFLR:
+        reads_lr = True
+    elif op is Opcode.MTLR or op is Opcode.MTCTR:
+        gpr_sources = (instr.ra,)
+    elif op is Opcode.MFCTR or op is Opcode.BDNZ:
+        reads_ctr = True
+    return Predecoded(
+        op=op, rt=instr.rt, ra=instr.ra, rb=instr.rb, imm=instr.imm,
+        gpr_sources=gpr_sources, fpr_sources=fpr_sources,
+        reads_cr=reads_cr, reads_lr=reads_lr, reads_ctr=reads_ctr,
+        writes_gpr=op in GPR_WRITERS, writes_fpr=op in FPR_WRITERS,
+        writes_cr=op in (Opcode.CMPW, Opcode.CMPWI, Opcode.CMPLW),
+        writes_lr=op in (Opcode.BL, Opcode.MTLR),
+        writes_ctr=op in (Opcode.MTCTR, Opcode.BDNZ),
+        unit=info.unit, latency=info.latency, has_imm=info.has_imm,
+    )
 
 
 class Idu(HwModule):
@@ -91,7 +144,6 @@ class Idu(HwModule):
     def release_scoreboard(self, commit_flags: int, rt: int) -> None:
         """Commit-side scoreboard release, derived from the committed
         instruction's flags and target register (no side state)."""
-        from repro.cpu.fxu import Fxu
         if commit_flags & Fxu.F_WGPR:
             self.gpr_busy.write_bit(rt & 31, 0)
         if commit_flags & Fxu.F_WFPR:
@@ -107,43 +159,7 @@ class Idu(HwModule):
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _decode_fields(instr) -> _Decoded:
-        op = Opcode(instr.op)
-        gpr_sources: tuple = ()
-        fpr_sources: tuple = ()
-        reads_cr = reads_lr = reads_ctr = False
-        if op in _XFORM_FXU:
-            gpr_sources = (instr.ra, instr.rb)
-        elif op in _IFORM_FXU:
-            gpr_sources = (instr.ra,)
-        elif op in _LSU_OPS:
-            gpr_sources = (instr.ra,)
-            if op in _STORE_GPR:
-                gpr_sources = (instr.ra, instr.rt)
-            elif op is Opcode.STFS:
-                fpr_sources = (instr.rt,)
-        elif op in _FPU_OPS:
-            fpr_sources = (instr.ra, instr.rb)
-        elif op is Opcode.BC:
-            reads_cr = True
-        elif op is Opcode.BLR or op is Opcode.MFLR:
-            reads_lr = True
-        elif op is Opcode.MTLR or op is Opcode.MTCTR:
-            gpr_sources = (instr.ra,)
-        elif op is Opcode.MFCTR or op is Opcode.BDNZ:
-            reads_ctr = True
-        return _Decoded(
-            op=op, rt=instr.rt, ra=instr.ra, rb=instr.rb, imm=instr.imm,
-            gpr_sources=gpr_sources, fpr_sources=fpr_sources,
-            reads_cr=reads_cr, reads_lr=reads_lr, reads_ctr=reads_ctr,
-            writes_gpr=op in GPR_WRITERS, writes_fpr=op in FPR_WRITERS,
-            writes_cr=op in (Opcode.CMPW, Opcode.CMPWI, Opcode.CMPLW),
-            writes_lr=op in (Opcode.BL, Opcode.MTLR),
-            writes_ctr=op in (Opcode.MTCTR, Opcode.BDNZ),
-        )
-
-    def _hazard(self, dec: _Decoded) -> bool:
+    def _hazard(self, dec: Predecoded) -> bool:
         # Per-bit scoreboard probes: only the registers an instruction
         # names are consulted, so an upset busy bit for a register the
         # program never touches is dead state, not a hazard.
@@ -179,22 +195,19 @@ class Idu(HwModule):
                 return  # masked checker: the corrupt word decodes below
         word = instr_latch.value
         pc = pc_latch.value
-        instr = decode(word)
-        if not is_valid_opcode(instr.op) or instr.op == Opcode.ATTN:
+        dec = predecode(word)
+        if dec is None:
             if core.raise_error(Checker.IDU_ILLEGAL_OPCODE):
                 return
             # Checker masked: the undefined word executes as a no-op.
             ifu.pop()
             return
-        dec = self._decode_fields(instr)
         if self._hazard(dec):
             self.stall_reason.write(1)
             return
 
         # Structural hazard: the target execution unit must be free.
-        info = op_info(dec.op)
-        unit = {"FXU": core.fxu, "BRU": core.fxu, "SYS": core.fxu,
-                "LSU": core.lsu, "FPU": core.fpu}[info.unit]
+        unit = core.dispatch_units[dec.unit]
         if not unit.can_accept():
             self.stall_reason.write(2)
             return
@@ -202,7 +215,7 @@ class Idu(HwModule):
         # Operand reads, with point-of-use parity checks.  Reads route
         # through the physical register-file copy that feeds the consuming
         # cluster (LSU reads the load/store-side copy).
-        copy = COPY_LS if info.unit == "LSU" else COPY_EXEC
+        copy = COPY_LS if dec.unit == "LSU" else COPY_EXEC
         operands = {}
         for reg in dec.gpr_sources:
             value, ok = core.gprs.read(reg, copy)

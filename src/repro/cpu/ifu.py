@@ -37,6 +37,7 @@ class Ifu(HwModule):
         self.miss_addr = self.add_latch("miss_addr", 32, protected=True, ring=ring)
         n = params.fetch_buffer_entries
         self.fb_valid = self.add_latch("fb_valid", n, ring=ring)
+        self._fb_full = (1 << n) - 1
         self.fb_instr = self.add_bank("fb_instr", n, 32, protected=True, ring=ring)
         self.fb_pc = self.add_bank("fb_pc", n, 32, protected=True, ring=ring)
         self.bht = self.add_latch("bht", 16, ring=ring)  # branch history (hint only)
@@ -135,16 +136,14 @@ class Ifu(HwModule):
             # Illegal FSM encoding; the pervasive FSM checker reports it.
             return
 
-        # Find a free fetch-buffer slot (entries fill oldest-first).
-        n = self.params.fetch_buffer_entries
-        valid = self.fb_valid.value & ((1 << n) - 1)
-        slot = -1
-        for i in range(n):
-            if not (valid >> i) & 1:
-                slot = i
-                break
-        if slot < 0:
+        # Find a free fetch-buffer slot (entries fill oldest-first): the
+        # lowest clear valid bit.
+        full = self._fb_full
+        valid = self.fb_valid.value & full
+        free = ~valid & full
+        if not free:
             return
+        slot = (free & -free).bit_length() - 1
         if not self.ifar.parity_ok():
             if core.raise_error(Checker.IFU_IFAR_PARITY):
                 return  # masked: fetch proceeds from the corrupt address

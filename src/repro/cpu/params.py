@@ -63,9 +63,32 @@ class CoreParams:
         "NEST": 900,
     })
 
+    def __post_init__(self) -> None:
+        for name in _AT_LEAST_ONE:
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"CoreParams.{name} must be >= 1, got {value}")
+        for name in _NON_NEGATIVE:
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"CoreParams.{name} must be >= 0, got {value}")
+
     def scaled_debug_bits(self, unit: str) -> int:
         return max(0, int(self.debug_bits.get(unit, 0) * self.scale))
 
+
+#: Sizes and rates that must be at least 1.  With a zero the core divides
+#: by zero on its first cycle (scrub interval), never finishes a recovery
+#: (restore words per cycle) or fails at construction with a latch-width
+#: message that does not name the field (the queue, buffer, cache and ERAT
+#: sizes).
+_AT_LEAST_ONE = ("fetch_buffer_entries", "icache_lines",
+                 "icache_words_per_line", "dcache_lines",
+                 "dcache_words_per_line", "store_queue_entries",
+                 "derat_entries", "ierat_entries",
+                 "recovery_restore_words_per_cycle", "ckpt_scrub_interval",
+                 "mc_queue_entries")
+_NON_NEGATIVE = ("icache_miss_penalty", "dcache_miss_penalty")
 
 #: Canonical unit names, in the order the paper's Figure 3 presents them.
 UNIT_NAMES = ("IFU", "IDU", "FXU", "FPU", "LSU", "RUT", "CORE")

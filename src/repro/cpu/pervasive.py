@@ -17,6 +17,8 @@ from repro.rtl.parity import EccStatus
 from repro.cpu.checkers import CHECKSTOP_ONLY, Checker
 from repro.cpu.events import EventKind
 from repro.cpu.debugblock import DebugBlock
+from repro.cpu.ifu import LEGAL_FETCH_STATES
+from repro.cpu.lsu import LEGAL_LSU_STATES
 from repro.cpu.rut import CKPT_CR, CKPT_CTR, CKPT_LR, CKPT_PC, CKPT_WORDS
 
 # Recovery sequencer states.
@@ -28,6 +30,9 @@ LEGAL_REC_STATES = (R_IDLE, R_FREEZE, R_RESTORE, R_REFETCH)
 
 # GPTR clock-stop bit assignments.
 _CLKSTOP_BITS = {"FETCH": 0, "DISP": 1, "FXU": 2, "LSU": 3, "FPU": 4, "COMMIT": 5}
+
+# MODE enable bit of the FSM/configuration checker (polled every cycle).
+_FSM_CHECK_MASK = 1 << Checker.CORE_FSM_ILLEGAL
 
 _CLKCFG_RESET = 0x10         # one-hot PLL-multiplier select
 _PLLCFG_RESET = 0b01011010   # fixed calibration pattern
@@ -243,7 +248,7 @@ class Pervasive(HwModule):
             self.report_error(Checker.CORE_FSM_ILLEGAL)
 
     def _check_config(self) -> None:
-        if not self.checker_enabled(Checker.CORE_FSM_ILLEGAL):
+        if not self.mode_chk_en.value & _FSM_CHECK_MASK:
             return
         clkcfg = self.mode_clkcfg.value
         if (clkcfg == 0 or clkcfg & (clkcfg - 1)
@@ -259,11 +264,9 @@ class Pervasive(HwModule):
             # The recovery sequencer itself is corrupt: unrecoverable.
             self.checkstop(Checker.CORE_FSM_ILLEGAL)
             return
-        if not self.checker_enabled(Checker.CORE_FSM_ILLEGAL):
+        if not self.mode_chk_en.value & _FSM_CHECK_MASK:
             return
         core = self.core
-        from repro.cpu.ifu import LEGAL_FETCH_STATES
-        from repro.cpu.lsu import LEGAL_LSU_STATES
         if (core.ifu.fstate.value not in LEGAL_FETCH_STATES
                 or core.lsu.state.value not in LEGAL_LSU_STATES):
             self.report_error(Checker.CORE_FSM_ILLEGAL)

@@ -57,14 +57,28 @@ class EccStatus(enum.Enum):
     UNCORRECTABLE = "uncorrectable"
 
 
-def ecc_encode(data: int) -> int:
-    """Compute the 7-bit check field (6 Hamming bits + overall parity)."""
-    data &= (1 << _DATA_BITS) - 1
+def _encode_bits(data: int) -> int:
+    """Bit-serial SEC-DED encoder: builds the byte tables below."""
     check = 0
     for i, mask in enumerate(_CHECK_MASKS):
         check |= parity(data & mask) << i
     overall = parity(data) ^ parity(check)
     return check | (overall << _CHECK_BITS)
+
+
+# Every check bit (the overall parity bit included) is an XOR of data
+# bits, so the code is linear over GF(2): the check field of a word is
+# the XOR of the check fields of its four bytes, each looked up in a
+# 256-entry table for that byte lane.
+_ECC_T0, _ECC_T1, _ECC_T2, _ECC_T3 = (
+    tuple(_encode_bits(byte << shift) for byte in range(256))
+    for shift in (0, 8, 16, 24))
+
+
+def ecc_encode(data: int) -> int:
+    """Compute the 7-bit check field (6 Hamming bits + overall parity)."""
+    return (_ECC_T0[data & 0xFF] ^ _ECC_T1[(data >> 8) & 0xFF]
+            ^ _ECC_T2[(data >> 16) & 0xFF] ^ _ECC_T3[(data >> 24) & 0xFF])
 
 
 def ecc_decode(data: int, check: int) -> tuple[int, int, EccStatus]:
@@ -76,10 +90,7 @@ def ecc_decode(data: int, check: int) -> tuple[int, int, EccStatus]:
     """
     data &= (1 << _DATA_BITS) - 1
     check &= (1 << (_CHECK_BITS + 1)) - 1
-    syndrome = 0
-    for i, mask in enumerate(_CHECK_MASKS):
-        if parity(data & mask) != ((check >> i) & 1):
-            syndrome |= 1 << i
+    syndrome = (ecc_encode(data) ^ check) & (_OVERALL_BIT - 1)
     overall_ok = (parity(data) ^ parity(check & (_OVERALL_BIT - 1))
                   ^ ((check >> _CHECK_BITS) & 1)) == 0
 

@@ -57,3 +57,39 @@ class TestParams:
         assert core.ifu.icache.lines == 16
         assert core.lsu.dcache.lines == 16
         assert len(core.lsu.sq_addr) == 2
+
+
+class TestParamsValidation:
+    @pytest.mark.parametrize("field", [
+        "ckpt_scrub_interval", "fetch_buffer_entries", "icache_lines",
+        "icache_words_per_line", "dcache_lines", "dcache_words_per_line",
+        "store_queue_entries", "derat_entries", "ierat_entries",
+        "recovery_restore_words_per_cycle", "mc_queue_entries"])
+    def test_sizes_must_be_positive(self, field):
+        with pytest.raises(ValueError, match=f"CoreParams.{field} must be >= 1"):
+            CoreParams(**{field: 0})
+
+    @pytest.mark.parametrize("field", ["icache_miss_penalty",
+                                       "dcache_miss_penalty"])
+    def test_miss_penalties_must_not_be_negative(self, field):
+        with pytest.raises(ValueError, match=f"CoreParams.{field} must be >= 0"):
+            CoreParams(**{field: -1})
+
+    @pytest.mark.parametrize("field", ["icache_miss_penalty",
+                                       "dcache_miss_penalty"])
+    def test_zero_miss_penalty_runs(self, field, testcase):
+        core = Power6Core(CoreParams(scale=0.15, **{field: 0}))
+        core.load_program(testcase.program)
+        core.run(20_000)
+        assert core.halted and core.error_free()
+
+    def test_smallest_valid_geometry_runs(self, testcase):
+        """One of everything (and a scrub every cycle) still executes."""
+        core = Power6Core(CoreParams(
+            scale=0.15, fetch_buffer_entries=1, icache_lines=1,
+            icache_words_per_line=1, dcache_lines=1, dcache_words_per_line=1,
+            store_queue_entries=1, derat_entries=1, ierat_entries=1,
+            ckpt_scrub_interval=1))
+        core.load_program(testcase.program)
+        core.run(200_000)
+        assert core.halted and core.error_free()
